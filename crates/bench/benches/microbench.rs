@@ -2,10 +2,10 @@
 //! Auric actually cares about — model-fit latency and recommendation
 //! throughput — plus the statistical kernels underneath.
 
+use auric_bench::legacy::LegacyCfModel;
 use auric_bench::{
     bench_network, bench_network_small, fitted, local_loo_sweep, local_loo_sweep_legacy,
 };
-use auric_core::legacy::LegacyCfModel;
 use auric_core::{recommend_singular, CfConfig, CfModel, NewCarrier, Scope};
 use auric_stats::chi2::chi2_critical;
 use auric_stats::contingency::ContingencyTable;

@@ -1,5 +1,5 @@
 //! Emits `BENCH_cf.json`: the packed-key CF hot path timed against the
-//! unpacked reference implementation (`auric_core::legacy`) at the medium
+//! unpacked reference implementation (`auric_bench::legacy`) at the medium
 //! (evaluation-default) scale.
 //!
 //! Two workloads are measured, best-of-N wall clock each:
@@ -13,8 +13,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use auric_bench::legacy::LegacyCfModel;
 use auric_bench::{local_loo_sweep, local_loo_sweep_legacy};
-use auric_core::legacy::LegacyCfModel;
 use auric_core::{fit_worker_threads, CfConfig, CfModel, FitOptions, Scope};
 use auric_netgen::{generate, NetScale, TuningKnobs};
 use auric_obs::Recorder;

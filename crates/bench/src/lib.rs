@@ -3,12 +3,16 @@
 //! Every bench target regenerates one of the paper's tables or figures
 //! (or an ablation of a design choice DESIGN.md calls out) at a bench-
 //! friendly scale; this library holds the common snapshot and model
-//! construction so each target measures the same workload.
+//! construction so each target measures the same workload. It also holds
+//! [`legacy`], the unpacked reference recommender the packed hot path is
+//! checked and timed against.
 
-use auric_core::legacy::LegacyCfModel;
+pub mod legacy;
+
 use auric_core::{CfConfig, CfModel, Scope};
 use auric_model::{NetworkSnapshot, ParamKind};
 use auric_netgen::{generate, GeneratedNetwork, NetScale, TuningKnobs};
+use legacy::LegacyCfModel;
 
 /// The standard bench network: tiny scale, default tuning, fixed seed.
 pub fn bench_network() -> GeneratedNetwork {

@@ -11,15 +11,17 @@
 //! key of every snapshot carrier (or directed pair) — so local voting is a
 //! linear scan of integer compares with zero allocation, and leave-one-out
 //! sweeps reuse the column instead of re-projecting attributes per probe.
-//! Layouts wider than 128 bits (unreachable under the Table-1 schema;
-//! paper-scale dependency selection crosses 64 bits but tops out near 94)
-//! fall back to unpacked keys with identical semantics; `legacy.rs` keeps
-//! the original unpacked implementation as the differential-testing
-//! oracle.
+//! Paper-scale dependency selection crosses 64 bits, but every Table-1
+//! layout fits 128: the widest, all 14 attributes on both pair endpoints
+//! at 28 markets, takes 84 bits (42 per endpoint). A selection that would
+//! not fit is cut to its longest fitting prefix (`select_dependent`), so
+//! the packed key is the only representation. The original unpacked
+//! implementation survives as a differential-testing oracle in the
+//! benchmark crate (`auric_bench::legacy`).
 
 use crate::dependency::{PredictorAttr, Side};
 use crate::scope::Scope;
-use crate::voting::{KeyRef, VoteKey, VoteTables};
+use crate::voting::{VoteKey, VoteTables};
 use auric_model::{
     AppliedBatch, AppliedRetune, AttrArena, AttrValue, AttrVec, CarrierId, DeltaSlot,
     NetworkSnapshot, PairIdx, ParamId, ParamKind, ValueIdx,
@@ -116,8 +118,7 @@ pub struct DeltaFitReport {
     /// Parameters whose tables were updated in place (dependency
     /// selection re-ran and landed on the same attribute set).
     pub params_patched: usize,
-    /// Parameters refitted from scratch (selection changed, or the key
-    /// layout is wide and carries no incremental form).
+    /// Parameters refitted from scratch (dependency selection changed).
     pub params_rebuilt: usize,
     /// Parameters the batch provably did not touch (no in-scope adds,
     /// removes, or retunes): tables untouched, key column refreshed only
@@ -198,7 +199,8 @@ pub struct Recommendation {
 /// private copy.
 #[derive(Debug, Clone)]
 enum KeyColumn {
-    /// No column: wide layout, or a freshly deserialized model.
+    /// No column: a freshly deserialized model, which packs keys on the
+    /// fly until `apply_delta` rebuilds the column.
     None,
     /// `col[c.index()]` = packed key of carrier `c` (singular parameters).
     Carrier(Arc<[u128]>),
@@ -433,8 +435,8 @@ impl ParamCf {
         })
     }
 
-    /// The fitted per-carrier key column, when present (packed layout,
-    /// fitted — not deserialized — model).
+    /// The fitted per-carrier key column, when present (a fitted, not a
+    /// deserialized, model).
     pub fn carrier_keys(&self) -> Option<&[u128]> {
         self.keys.carriers()
     }
@@ -547,8 +549,8 @@ impl CfModel {
     ///   removed targets subtract, batch-born targets add), and
     ///   re-frozen. Vote groups are key-sorted multisets, so patching to
     ///   the same multiset yields identical bytes.
-    /// * Parameters whose selection changed (or whose key layout is wide)
-    ///   are refitted from scratch, exactly as a full refit would.
+    /// * Parameters whose selection changed are refitted from scratch,
+    ///   exactly as a full refit would.
     ///
     /// Key columns span the whole fleet, so they are refreshed whenever
     /// the fleet changed shape even for untouched parameters — by
@@ -700,7 +702,7 @@ impl CfModel {
             // chi-square test: re-select, exactly as a full refit would.
             let dependent =
                 select_dependent(snapshot, arena, scope_after, param, &self.config, &obs);
-            if dependent != self.params[i].dependent || !self.params[i].codec.fits_u128() {
+            if dependent != self.params[i].dependent {
                 self.params[i] =
                     fit_param_with_dependent(snapshot, arena, cache, scope_after, param, dependent);
                 report.params_rebuilt += 1;
@@ -730,23 +732,15 @@ impl CfModel {
                     DeltaSlot::Carrier(c) => pc.packed_for_carrier(attrs_of(c)),
                     DeltaSlot::Pair(a, b) => pc.packed_for_pair(attrs_of(a), attrs_of(b)),
                 };
-                pc.tables
-                    .remove_packed(key, r.old)
-                    .expect("patched tables are packed");
-                let sat = pc
-                    .tables
-                    .add_packed_count(key, r.new, 1)
-                    .expect("patched tables are packed");
-                report.count_saturated += sat as u64;
+                pc.tables.remove_packed(key, r.old);
+                report.count_saturated += pc.tables.add_packed_count(key, r.new, 1) as u64;
             }
             // Subtract everything that left the scope with a removal.
             for rec in &removed_in_scope {
                 match kind {
                     ParamKind::Singular => {
                         let key = pc.packed_for_carrier(&rec.attrs);
-                        pc.tables
-                            .remove_packed(key, value_for(&rec.values, param))
-                            .expect("patched tables are packed");
+                        pc.tables.remove_packed(key, value_for(&rec.values, param));
                         report.obs_removed += 1;
                     }
                     ParamKind::Pairwise => {
@@ -756,9 +750,7 @@ impl CfModel {
                             .filter(|rp| in_carriers(scope_before, rp.src))
                         {
                             let key = pc.packed_for_pair(&rp.src_attrs, &rp.dst_attrs);
-                            pc.tables
-                                .remove_packed(key, value_for(&rp.values, param))
-                                .expect("patched tables are packed");
+                            pc.tables.remove_packed(key, value_for(&rp.values, param));
                             report.obs_removed += 1;
                         }
                     }
@@ -769,11 +761,8 @@ impl CfModel {
                 ParamKind::Singular => {
                     for &c in &added_in_scope {
                         let key = pc.packed_for_carrier(&snapshot.carrier(c).attrs);
-                        let sat = pc
-                            .tables
-                            .add_packed_count(key, snapshot.config.value(param, c), 1)
-                            .expect("patched tables are packed");
-                        report.count_saturated += sat as u64;
+                        let value = snapshot.config.value(param, c);
+                        report.count_saturated += pc.tables.add_packed_count(key, value, 1) as u64;
                         report.obs_added += 1;
                     }
                 }
@@ -784,11 +773,8 @@ impl CfModel {
                             &snapshot.carrier(j).attrs,
                             &snapshot.carrier(k).attrs,
                         );
-                        let sat = pc
-                            .tables
-                            .add_packed_count(key, snapshot.config.pair_value(param, q), 1)
-                            .expect("patched tables are packed");
-                        report.count_saturated += sat as u64;
+                        let value = snapshot.config.pair_value(param, q);
+                        report.count_saturated += pc.tables.add_packed_count(key, value, 1) as u64;
                         report.obs_added += 1;
                     }
                 }
@@ -834,15 +820,14 @@ impl CfModel {
     /// the probe as an equality-comparable `(ParamId, u128)` handle —
     /// resolved once at admission — for batching, coalescing, and
     /// response caching. `None` when the model does not cover the
-    /// catalog or any singular layout is wider than 128 bits (no integer
-    /// handle; such requests are served unbatched).
+    /// catalog (a model fitted against a different catalog).
     pub fn probe_singular(&self, snapshot: &NetworkSnapshot, attrs: &AttrVec) -> Option<Vec<u128>> {
         snapshot
             .catalog
             .singular_ids()
             .map(|p| {
                 let pc = self.params.get(p.index())?;
-                pc.codec.fits_u128().then(|| pc.packed_for_carrier(attrs))
+                Some(pc.packed_for_carrier(attrs))
             })
             .collect()
     }
@@ -861,7 +846,7 @@ impl CfModel {
             .pairwise_ids()
             .map(|p| {
                 let pc = self.params.get(p.index())?;
-                pc.codec.fits_u128().then(|| pc.packed_for_pair(src, dst))
+                Some(pc.packed_for_pair(src, dst))
             })
             .collect()
     }
@@ -877,12 +862,7 @@ impl CfModel {
     ) -> Recommendation {
         let pc = self.param(param);
         debug_assert_eq!(key.len(), pc.dependent.len());
-        if pc.codec.fits_u128() {
-            self.global_chain(pc, KeyRef::Packed(pc.codec.pack(key)), exclude)
-        } else {
-            let clamped = pc.codec.clamp(key);
-            self.global_chain(pc, KeyRef::Wide(&clamped), exclude)
-        }
+        self.global_chain(pc, pc.codec.pack(key), exclude)
     }
 
     /// The market-mode answer for a parameter: the scope-wide plurality
@@ -933,16 +913,11 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        if pc.codec.fits_u128() {
-            let key = match pc.keys.carriers() {
-                Some(col) => col[carrier.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
-            };
-            self.global_chain(pc, KeyRef::Packed(key), exclude)
-        } else {
-            let key = pc.key_for_carrier(&snapshot.carrier(carrier).attrs);
-            self.global_chain(pc, KeyRef::Wide(&key), exclude)
-        }
+        let key = match pc.keys.carriers() {
+            Some(col) => col[carrier.index()],
+            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        };
+        self.global_chain(pc, key, exclude)
     }
 
     /// Global recommendation for an existing directed pair, reusing the
@@ -955,20 +930,14 @@ impl CfModel {
         exclude: Option<ValueIdx>,
     ) -> Recommendation {
         let pc = self.param(param);
-        if pc.codec.fits_u128() {
-            let key = match pc.keys.pairs() {
-                Some(col) => col[pair as usize],
-                None => {
-                    let (j, k) = snapshot.x2.pair(pair);
-                    pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
-                }
-            };
-            self.global_chain(pc, KeyRef::Packed(key), exclude)
-        } else {
-            let (j, k) = snapshot.x2.pair(pair);
-            let key = pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-            self.global_chain(pc, KeyRef::Wide(&key), exclude)
-        }
+        let key = match pc.keys.pairs() {
+            Some(col) => col[pair as usize],
+            None => {
+                let (j, k) = snapshot.x2.pair(pair);
+                pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs)
+            }
+        };
+        self.global_chain(pc, key, exclude)
     }
 
     /// The global fallback chain over the full vote key: full-key vote,
@@ -976,12 +945,7 @@ impl CfModel {
     /// groups are aggregated on demand from the sorted full-key groups —
     /// see [`VoteTables::prefix_aggregate`]), then the scope-wide
     /// majority, then the catalog default.
-    fn global_chain(
-        &self,
-        pc: &ParamCf,
-        full: KeyRef<'_>,
-        exclude: Option<ValueIdx>,
-    ) -> Recommendation {
+    fn global_chain(&self, pc: &ParamCf, full: u128, exclude: Option<ValueIdx>) -> Recommendation {
         let n = pc.dependent.len();
         if let Some((value, support, voters)) = pc.tables.vote(full, exclude, self.config.support) {
             self.obs.inc("cf.rec.basis.global_vote");
@@ -1060,71 +1024,47 @@ impl CfModel {
         debug_assert_eq!(snapshot.catalog.def(param).kind, ParamKind::Singular);
         let pc = self.param(param);
         let exclude = || loo.then(|| snapshot.config.value(param, carrier));
-        if pc.codec.fits_u128() {
-            let col = pc.keys.carriers();
-            let key = match col {
-                Some(col) => col[carrier.index()],
-                None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        let col = pc.keys.carriers();
+        let key = match col {
+            Some(col) => col[carrier.index()],
+            None => pc.packed_for_carrier(&snapshot.carrier(carrier).attrs),
+        };
+        // The neighborhood vote: a linear scan of integer compares
+        // over the key column (1-hop reads the CSR adjacency slice
+        // directly — no BFS allocation).
+        let mut table = FreqTable::new();
+        let mut tally = |n: CarrierId| {
+            let nkey = match col {
+                Some(col) => col[n.index()],
+                None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
             };
-            // The neighborhood vote: a linear scan of integer compares
-            // over the key column (1-hop reads the CSR adjacency slice
-            // directly — no BFS allocation).
-            let mut table = FreqTable::new();
-            let mut tally = |n: CarrierId| {
-                let nkey = match col {
-                    Some(col) => col[n.index()],
-                    None => pc.packed_for_carrier(&snapshot.carrier(n).attrs),
-                };
-                if nkey == key {
-                    table.add(snapshot.config.value(param, n));
-                }
-            };
-            if self.config.hops == 1 {
-                for &n in snapshot.x2.neighbors(carrier) {
-                    tally(n);
-                }
-            } else {
-                for n in snapshot.x2.k_hop_neighbors(carrier, self.config.hops) {
-                    tally(n);
-                }
+            if nkey == key {
+                table.add(snapshot.config.value(param, n));
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
+        };
+        if self.config.hops == 1 {
+            for &n in snapshot.x2.neighbors(carrier) {
+                tally(n);
             }
-            self.global_chain(pc, KeyRef::Packed(key), exclude())
         } else {
-            let key = pc.key_for_carrier(&snapshot.carrier(carrier).attrs);
-            let mut table = FreqTable::new();
             for n in snapshot.x2.k_hop_neighbors(carrier, self.config.hops) {
-                if pc.key_for_carrier(&snapshot.carrier(n).attrs) == key {
-                    table.add(snapshot.config.value(param, n));
-                }
+                tally(n);
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
-            }
-            self.global_chain(pc, KeyRef::Wide(&key), exclude())
         }
+        if let Some((value, support, total)) =
+            table.majority_with_support_excluding(None, self.config.support)
+        {
+            self.obs.inc("cf.rec.basis.local_vote");
+            self.obs
+                .observe("cf.rec.support.local_vote", support as u64);
+            return Recommendation {
+                value,
+                basis: Basis::LocalVote,
+                support,
+                voters: total,
+            };
+        }
+        self.global_chain(pc, key, exclude())
     }
 
     /// Local recommendation for a pair-wise parameter on an existing
@@ -1141,96 +1081,56 @@ impl CfModel {
         let pc = self.param(param);
         let (j, k) = snapshot.x2.pair(pair);
         let exclude = || loo.then(|| snapshot.config.pair_value(param, pair));
-        if pc.codec.fits_u128() {
-            let col = pc.keys.pairs();
-            let key = match col {
-                Some(col) => col[pair as usize],
-                None => pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs),
-            };
-            // Candidate pairs are sourced at `j` and its neighborhood;
-            // their keys come straight off the pair column, so the scan
-            // allocates nothing (the old path rebuilt a `sources` vector
-            // and projected two attribute vectors per candidate).
-            let mut table = FreqTable::new();
-            let mut scan_source = |src: CarrierId| {
-                for q in snapshot.x2.pairs_from(src) {
-                    if q == pair {
-                        continue; // never vote for ourselves
+        let col = pc.keys.pairs();
+        let key = match col {
+            Some(col) => col[pair as usize],
+            None => pc.packed_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs),
+        };
+        // Candidate pairs are sourced at `j` and its neighborhood;
+        // their keys come straight off the pair column, so the scan
+        // allocates nothing.
+        let mut table = FreqTable::new();
+        let mut scan_source = |src: CarrierId| {
+            for q in snapshot.x2.pairs_from(src) {
+                if q == pair {
+                    continue; // never vote for ourselves
+                }
+                let qkey = match col {
+                    Some(col) => col[q as usize],
+                    None => {
+                        let (a, b) = snapshot.x2.pair(q);
+                        pc.packed_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs)
                     }
-                    let qkey = match col {
-                        Some(col) => col[q as usize],
-                        None => {
-                            let (a, b) = snapshot.x2.pair(q);
-                            pc.packed_for_pair(
-                                &snapshot.carrier(a).attrs,
-                                &snapshot.carrier(b).attrs,
-                            )
-                        }
-                    };
-                    if qkey == key {
-                        table.add(snapshot.config.pair_value(param, q));
-                    }
-                }
-            };
-            scan_source(j);
-            if self.config.hops == 1 {
-                for &n in snapshot.x2.neighbors(j) {
-                    scan_source(n);
-                }
-            } else {
-                for n in snapshot.x2.k_hop_neighbors(j, self.config.hops) {
-                    scan_source(n);
-                }
-            }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
                 };
-            }
-            self.global_chain(pc, KeyRef::Packed(key), exclude())
-        } else {
-            let key = pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-            let mut table = FreqTable::new();
-            let mut scan_source = |src: CarrierId| {
-                for q in snapshot.x2.pairs_from(src) {
-                    if q == pair {
-                        continue; // never vote for ourselves
-                    }
-                    let (a, b) = snapshot.x2.pair(q);
-                    let qkey =
-                        pc.key_for_pair(&snapshot.carrier(a).attrs, &snapshot.carrier(b).attrs);
-                    if qkey == key {
-                        table.add(snapshot.config.pair_value(param, q));
-                    }
+                if qkey == key {
+                    table.add(snapshot.config.pair_value(param, q));
                 }
-            };
-            scan_source(j);
+            }
+        };
+        scan_source(j);
+        if self.config.hops == 1 {
+            for &n in snapshot.x2.neighbors(j) {
+                scan_source(n);
+            }
+        } else {
             for n in snapshot.x2.k_hop_neighbors(j, self.config.hops) {
                 scan_source(n);
             }
-            if let Some((value, support, total)) =
-                table.majority_with_support_excluding(None, self.config.support)
-            {
-                self.obs.inc("cf.rec.basis.local_vote");
-                self.obs
-                    .observe("cf.rec.support.local_vote", support as u64);
-                return Recommendation {
-                    value,
-                    basis: Basis::LocalVote,
-                    support,
-                    voters: total,
-                };
-            }
-            self.global_chain(pc, KeyRef::Wide(&key), exclude())
         }
+        if let Some((value, support, total)) =
+            table.majority_with_support_excluding(None, self.config.support)
+        {
+            self.obs.inc("cf.rec.basis.local_vote");
+            self.obs
+                .observe("cf.rec.support.local_vote", support as u64);
+            return Recommendation {
+                value,
+                basis: Basis::LocalVote,
+                support,
+                voters: total,
+            };
+        }
+        self.global_chain(pc, key, exclude())
     }
 }
 
@@ -1334,7 +1234,12 @@ fn pack_key_column(
 }
 
 /// Dependency selection for one parameter, honoring the configured
-/// selection flavor.
+/// selection flavor, capped so the vote key fits a `u128`: a selection
+/// whose layout would need more than 128 bits keeps the longest prefix of
+/// its selection order that fits, and bumps `cf.fit.dep_truncated` once.
+/// No Table-1 layout reaches the cap (the widest takes 84 bits). The full
+/// fit and [`CfModel::apply_delta`] both select here, so they agree on
+/// every cut.
 fn select_dependent(
     snapshot: &NetworkSnapshot,
     arena: &AttrArena,
@@ -1343,7 +1248,7 @@ fn select_dependent(
     config: &CfConfig,
     obs: &Recorder,
 ) -> Vec<PredictorAttr> {
-    if config.marginal_selection {
+    let mut dependent = if config.marginal_selection {
         crate::dependency::select_dependent_marginal_with_obs_in(
             arena,
             snapshot,
@@ -1361,7 +1266,20 @@ fn select_dependent(
             config.alpha,
             obs,
         )
+    };
+    let cards: Vec<u16> = dependent
+        .iter()
+        .map(|pa| snapshot.schema.radix(pa.attr))
+        .collect();
+    let mut len = cards.len();
+    while !PackedKeyCodec::new(&cards[..len]).fits_u128() {
+        len -= 1;
     }
+    if len < dependent.len() {
+        dependent.truncate(len);
+        obs.inc("cf.fit.dep_truncated");
+    }
+    dependent
 }
 
 /// The `(param, value)` slot of a removed-target record.
@@ -1398,9 +1316,6 @@ fn refresh_key_column(
     remap: Option<&Vec<Option<PairIdx>>>,
     added_pairs_all: &[PairIdx],
 ) {
-    if !pc.codec.fits_u128() {
-        return; // wide layouts never carry columns
-    }
     match kind {
         ParamKind::Singular => {
             let old = match &pc.keys {
@@ -1515,75 +1430,41 @@ fn fit_param_with_dependent(
         .map(|pa| snapshot.schema.radix(pa.attr))
         .collect();
     let codec = PackedKeyCodec::new(&cards);
-    let packed = codec.fits_u128();
-    let mut pc = ParamCf {
-        param,
-        dependent,
-        codec,
-        tables: if packed {
-            VoteTables::new()
-        } else {
-            VoteTables::new_wide()
-        },
-        default: def.default,
-        keys: KeyColumn::None,
-    };
+    // Column over the whole snapshot (not just the scope): local voting
+    // consults out-of-scope neighbors too. Built from the shared arena
+    // columns — or shared outright with another parameter that selected
+    // the same dependent set.
+    let col = cache.get_or_build(def.kind, &dependent, || {
+        pack_key_column(arena, &codec, &dependent, def.kind)
+    });
     // Only the full-key tables are built: prefix (backoff) groups are
     // contiguous runs of the frozen sorted groups and aggregate on
     // demand, so materializing a table per observation per level — the
     // paper-scale RSS cliff — buys nothing.
-    if packed {
-        // Column over the whole snapshot (not just the scope): local
-        // voting consults out-of-scope neighbors too. Built from the
-        // shared arena columns — or shared outright with another
-        // parameter that selected the same dependent set.
-        let col = cache.get_or_build(def.kind, &pc.dependent, || {
-            pack_key_column(arena, &pc.codec, &pc.dependent, def.kind)
-        });
-        // The tables were just built packed, so a shape mismatch is
-        // impossible by construction.
-        match def.kind {
-            ParamKind::Singular => {
-                for &c in &scope.carriers {
-                    pc.tables
-                        .add_packed(col[c.index()], snapshot.config.value(param, c))
-                        .expect("tables built packed");
-                }
-                pc.keys = KeyColumn::Carrier(col);
+    let mut tables = VoteTables::new();
+    let keys = match def.kind {
+        ParamKind::Singular => {
+            for &c in &scope.carriers {
+                tables.add_packed(col[c.index()], snapshot.config.value(param, c));
             }
-            ParamKind::Pairwise => {
-                for &q in &scope.pairs {
-                    pc.tables
-                        .add_packed(col[q as usize], snapshot.config.pair_value(param, q))
-                        .expect("tables built packed");
-                }
-                pc.keys = KeyColumn::Pair(col);
-            }
+            KeyColumn::Carrier(col)
         }
-    } else {
-        match def.kind {
-            ParamKind::Singular => {
-                for &c in &scope.carriers {
-                    let key = pc.key_for_carrier(&snapshot.carrier(c).attrs);
-                    pc.tables
-                        .add_wide(&key, snapshot.config.value(param, c))
-                        .expect("tables built wide");
-                }
+        ParamKind::Pairwise => {
+            for &q in &scope.pairs {
+                tables.add_packed(col[q as usize], snapshot.config.pair_value(param, q));
             }
-            ParamKind::Pairwise => {
-                for &q in &scope.pairs {
-                    let (j, k) = snapshot.x2.pair(q);
-                    let key =
-                        pc.key_for_pair(&snapshot.carrier(j).attrs, &snapshot.carrier(k).attrs);
-                    pc.tables
-                        .add_wide(&key, snapshot.config.pair_value(param, q))
-                        .expect("tables built wide");
-                }
-            }
+            KeyColumn::Pair(col)
         }
+    };
+    tables.freeze();
+    ParamCf {
+        param,
+        dependent,
+        codec,
+        tables,
+        default: def.default,
+        keys,
     }
-    pc.tables.freeze();
-    pc
 }
 
 /// The stable wire format for the fitted parameters: group keys leave the
@@ -2036,6 +1917,171 @@ mod tests {
     }
 
     #[test]
+    fn loading_a_layout_wider_than_128_bits_is_a_typed_error() {
+        // Hand-edit a fitted model: its first parameter now declares 22
+        // dependent attributes of cardinality 32, a 22 × 6 = 132-bit
+        // layout no packed key holds, and one group with an in-range key
+        // of that width holding the whole overall table, so every other
+        // wire check passes. The load must fail, not panic or pack.
+        let (_, model) = fitted();
+        let overall = model.params()[0].tables.overall().clone();
+        let json = serde_json::to_string(&model).expect("serialize");
+        let mut value: serde_json::Value = serde_json::from_str(&json).expect("parse");
+        let serde_json::Value::Map(top) = &mut value else {
+            panic!("a model serializes as a map")
+        };
+        let Some((_, serde_json::Value::Seq(params))) = top.iter_mut().find(|(k, _)| k == "params")
+        else {
+            panic!("a model carries a params array")
+        };
+        let serde_json::Value::Map(first) = &mut params[0] else {
+            panic!("a parameter serializes as a map")
+        };
+        for (k, v) in first.iter_mut() {
+            match (k.as_str(), v) {
+                ("dependent", v) => {
+                    *v = vec![PredictorAttr::src(auric_model::AttrId(0)); 22].to_value()
+                }
+                ("cards", v) => *v = vec![32u16; 22].to_value(),
+                ("tables", serde_json::Value::Map(tables)) => {
+                    for (tk, tv) in tables.iter_mut() {
+                        if tk == "groups" {
+                            *tv = vec![(vec![0u16; 22], overall.clone())].to_value();
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let edited = serde_json::to_string(&value).expect("serialize");
+        match CfModel::from_json_bytes(edited.as_bytes()) {
+            Err(ModelLoadError::Parse(msg)) => {
+                assert!(msg.contains("132 bits"), "unexpected message: {msg}")
+            }
+            other => panic!("expected a parse error, got {:?}", other.map(|_| "a model")),
+        }
+    }
+
+    #[test]
+    fn widest_table1_layout_fits_u128_at_84_bits() {
+        // Attribute cardinalities grow only with the market count
+        // (through tracking_area_code), so the generator's smallest
+        // market (two eNBs) at the full 28 markets yields the widest
+        // Table-1 schema. All 14
+        // attributes on both pair endpoints is the widest layout any
+        // selection can produce.
+        let net = generate(
+            &NetScale {
+                n_markets: 28,
+                enbs_per_market: 2,
+                seed: 7,
+            },
+            &TuningKnobs::none(),
+        );
+        let schema = &net.snapshot.schema;
+        assert_eq!(schema.n_attrs(), 14);
+        let endpoint: Vec<u16> = schema.attr_ids().map(|a| schema.radix(a)).collect();
+        assert_eq!(PackedKeyCodec::new(&endpoint).bits(), 42);
+        let both: Vec<u16> = endpoint.iter().chain(&endpoint).copied().collect();
+        let codec = PackedKeyCodec::new(&both);
+        assert!(codec.fits_u128());
+        assert_eq!(codec.bits(), 84);
+    }
+
+    #[test]
+    fn dependent_sets_wider_than_128_bits_are_cut_to_the_longest_fitting_prefix() {
+        // A schema no Table-1 network produces: 20 attributes of 1000
+        // declared levels (10 bits each), every one a copy of the
+        // carrier's parity, and every singular parameter set to that
+        // parity. Marginal selection keeps all 20 attributes for those
+        // parameters, 200 bits, so the fit must keep the first 12.
+        let mut net = generate(&NetScale::tiny(), &TuningKnobs::none());
+        let snap = &mut net.snapshot;
+        let levels: Vec<String> = (0..1000).map(|l| format!("level{l}")).collect();
+        snap.schema = auric_model::AttributeSchema::new(
+            (0..20)
+                .map(|a| auric_model::AttrDef {
+                    name: format!("attr{a}"),
+                    dynamic: false,
+                    levels: levels.clone(),
+                })
+                .collect(),
+        );
+        for c in &mut snap.carriers {
+            c.attrs = AttrVec::new(vec![(c.id.index() % 2) as AttrValue; 20]);
+        }
+        let singular: Vec<ParamId> = snap.catalog.singular_ids().collect();
+        for &p in &singular {
+            for i in 0..snap.config.n_carriers() {
+                let v = (i % 2) as ValueIdx;
+                snap.config.set_value(
+                    p,
+                    CarrierId::from_index(i),
+                    v,
+                    auric_model::Provenance::Rule,
+                );
+            }
+        }
+        let snap = &net.snapshot;
+        let scope = Scope::whole(snap);
+        let config = CfConfig {
+            marginal_selection: true,
+            ..CfConfig::default()
+        };
+        let obs = Recorder::deterministic();
+        let model = CfModel::fit_with(
+            snap,
+            &scope,
+            config,
+            FitOptions {
+                obs: obs.clone(),
+                ..FitOptions::default()
+            },
+        );
+
+        let arena = AttrArena::from_snapshot(snap);
+        let cache = KeyColumnCache::default();
+        let mut cut = 0u64;
+        for pc in model.params() {
+            let full =
+                crate::dependency::select_dependent_marginal(snap, &scope, pc.param, config.alpha);
+            // Longest prefix whose layout fits, by an independent sum of
+            // field widths (levels 0..=card, the sentinel included).
+            let mut bits = 0;
+            let fitting = full
+                .iter()
+                .take_while(|pa| {
+                    bits += u16::BITS - snap.schema.radix(pa.attr).leading_zeros();
+                    bits <= 128
+                })
+                .count();
+            assert_eq!(pc.dependent, full[..fitting], "{}", pc.param);
+            if singular.contains(&pc.param) {
+                assert_eq!(full.len(), 20, "{}: every copy is associated", pc.param);
+                assert_eq!(fitting, 12, "{}: 12 × 10 bits fit, 13 do not", pc.param);
+            }
+            if fitting < full.len() {
+                cut += 1;
+                // Identical to a fit whose selection returned the prefix.
+                let want = fit_param_with_dependent(
+                    snap,
+                    &arena,
+                    &cache,
+                    &scope,
+                    pc.param,
+                    full[..fitting].to_vec(),
+                );
+                assert_eq!(pc.codec(), want.codec());
+                assert_eq!(pc.tables, want.tables);
+                assert_eq!(pc.default, want.default);
+                assert_eq!(pc.key_column_arc(), want.key_column_arc());
+            }
+        }
+        assert!(cut >= singular.len() as u64);
+        assert_eq!(obs.counter("cf.fit.dep_truncated"), cut);
+    }
+
+    #[test]
     fn parallel_map_preserves_index_order() {
         let out = parallel_map(257, |i| i * i);
         assert_eq!(out.len(), 257);
@@ -2094,10 +2140,6 @@ mod tests {
                     .map(|pa| snap.schema.radix(pa.attr))
                     .collect();
                 let codec = PackedKeyCodec::new(&cards);
-                if !codec.fits_u128() {
-                    // Wide layouts never reach the column cache.
-                    return Ok(());
-                }
                 let cache = KeyColumnCache::default();
                 let col = cache.get_or_build(kind, &dependent, || {
                     pack_key_column(&arena, &codec, &dependent, kind)

@@ -28,7 +28,6 @@ pub mod accuracy;
 pub mod cf;
 pub mod datasets;
 pub mod dependency;
-pub mod legacy;
 pub mod mismatch;
 pub mod perf;
 pub mod recommend;

@@ -49,7 +49,7 @@ fn cross_fit_layout_overlap_shares_physical_columns() {
             continue;
         }
         let (Some(ca), Some(cb)) = (a.key_column_arc(), b.key_column_arc()) else {
-            continue; // wide layout: no packed column either side
+            panic!("param {:?}: fitted params carry a key column", a.param);
         };
         assert!(
             Arc::ptr_eq(&ca, &cb),

@@ -1,6 +1,6 @@
-//! Typed errors for the KPI simulator, mirroring the
-//! `KeyShapeMismatch` pattern in `auric-core`: malformed inputs degrade
-//! into values the caller can route, never aborts.
+//! Typed errors for the KPI simulator, mirroring the typed load errors
+//! in `auric-core` (`ModelLoadError`, `VoteWireError`): malformed inputs
+//! degrade into values the caller can route, never aborts.
 
 use std::fmt;
 

@@ -7,16 +7,16 @@
 //! serve it straight from the epoch-validated response cache.
 //!
 //! Cold-start and pairwise requests resolve to the packed `u128` vote
-//! key of every fitted parameter (the PR 6 top-aligned codec: one
-//! integer per parameter, resolved **once at admission**) plus the exact
+//! key of every fitted parameter (the top-aligned codec: one integer per
+//! parameter, resolved **once at admission**) plus the exact
 //! planned-neighbor list — the only other input the local-vote path
 //! reads. Singular and KPI requests are keyed by carrier id: the model
 //! answers them from the carrier's fitted state alone.
 //!
-//! Resolution returns `None` when the model cannot hand out integer
-//! handles (a layout wider than 128 bits, or a model that does not
-//! cover the catalog); such requests are served unbatched and uncached,
-//! never guessed about.
+//! Resolution returns `None` only when the model does not cover the
+//! snapshot's catalog (a model fitted against a different catalog);
+//! such requests are served unbatched and uncached, never guessed
+//! about.
 
 use auric_core::CfModel;
 use auric_model::{CarrierId, NetworkSnapshot};

@@ -24,15 +24,13 @@
 //!
 //! The width was `u64` until paper-scale fits proved that too small: with
 //! 2.2M samples the chi-square dependency selection keeps enough
-//! attributes that pairwise layouts routinely cross 64 bits, and the wide
-//! fallback's per-group boxed keys dominated peak RSS. 128 bits cover
-//! every layout the Table-1 schema can produce (worst case ~94 bits with
-//! all 14 attributes selected on both pair endpoints). When a layout
-//! still exceeds 128 bits (only reachable under exotic schemas), the
-//! codec reports `fits_u128() == false` and callers fall back to a wide
-//! `Box<[u16]>` key representation; [`PackedKeyCodec::clamp`] applies the
-//! same sentinel collapse there so both representations agree on probe
-//! semantics.
+//! attributes that pairwise layouts routinely cross 64 bits. 128 bits
+//! cover every layout the Table-1 schema can produce: cardinalities grow
+//! only with the market count (through `tracking_area_code`), and at 28
+//! markets all 14 attributes on both pair endpoints take 84 bits, 42 per
+//! endpoint. A layout over 128 bits reports `fits_u128() == false` and
+//! must not be packed: the recommender caps dependent sets so a fit never
+//! builds one, and rejects model files that declare one.
 
 use std::hash::{BuildHasher, Hasher};
 
@@ -96,6 +94,11 @@ impl PackedKeyCodec {
     /// Per-position cardinalities (the layout's defining input).
     pub fn cards(&self) -> &[u16] {
         &self.cards
+    }
+
+    /// Total bits the whole key needs, sentinel levels included.
+    pub fn bits(&self) -> u32 {
+        self.total_bits
     }
 
     /// Whether the whole key fits one `u128`.
@@ -166,9 +169,9 @@ impl PackedKeyCodec {
         key & self.masks[l]
     }
 
-    /// Sentinel-clamps an unpacked key for the wide (over-128-bit) fallback
-    /// representation, so out-of-range probe levels collapse identically
-    /// in both representations.
+    /// Sentinel-clamps an unpacked key: the unpacked form of what
+    /// [`PackedKeyCodec::pack`] stores, usable on layouts of any width.
+    /// The codec proptests use it as the reference for `pack`.
     pub fn clamp(&self, vals: &[u16]) -> Vec<u16> {
         debug_assert!(vals.len() <= self.cards.len());
         vals.iter()
@@ -301,7 +304,8 @@ mod tests {
         let cards = vec![32u16; 22];
         let codec = PackedKeyCodec::new(&cards);
         assert!(!codec.fits_u128());
-        // Clamping still applies sentinel semantics for the wide fallback.
+        assert_eq!(codec.bits(), 132);
+        // Clamping still applies sentinel semantics at any width.
         assert_eq!(codec.clamp(&[u16::MAX; 22]), vec![32u16; 22]);
         // 13 positions (78 bits) overflowed the old u64 layout; they are
         // exactly why the codec moved to u128.
@@ -399,7 +403,7 @@ mod tests {
             }
 
             /// `fits_u128` agrees with an independent width computation,
-            /// and wide layouts still clamp for the fallback representation.
+            /// and `clamp` applies sentinel semantics at any width.
             #[test]
             fn overflow_detection_matches_reference(
                 cards in collection::vec(1u16..2000, 0..24),
